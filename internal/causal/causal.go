@@ -6,8 +6,8 @@
 // recorded spans.
 //
 // The package sits below the telemetry layer: telemetry, lockd,
-// lockclient, and scenario all import causal; causal imports only sim,
-// trace, and native. core.Lock hooks in through its own CausalObserver
+// lockclient, and scenario all import causal; causal imports only sim
+// and trace. core.Lock hooks in through its own CausalObserver
 // interface (structural typing — SimTracker satisfies it without causal
 // importing core).
 package causal

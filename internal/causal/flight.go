@@ -13,7 +13,7 @@ import (
 // simulated ns for sim locks).
 type FlightEvent struct {
 	AtNs   int64  `json:"at_ns"`
-	Kind   string `json:"kind"` // wait|acquire|release|timeout|abort|recovered|expired|...
+	Kind   string `json:"kind"` // wait|acquire|release|timeout|abort|owner-dead|reconfig|...
 	Actor  string `json:"actor,omitempty"`
 	Detail string `json:"detail,omitempty"`
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // Sink adapts one native.Mutex's event stream into journal records.
-// Attach with m.SetEventSink(j.Sink("name")) — or TeeSink it with a
-// causal tracker. LockEvent is lock-free end to end: the ids are
+// Attach with m.SetEventSink(j.Sink("name")); telemetry's histograms
+// and profiler tee onto the same slot (native.TeeSink). LockEvent is
+// lock-free end to end: the ids are
 // interned once at construction and the append is a shard-ring
 // reservation.
 type Sink struct {

@@ -83,11 +83,11 @@ type Config struct {
 	Graph    *causal.Graph
 	Flight   *causal.Flight
 	// Journal, when non-nil, records every served lock's lifecycle into
-	// the binary event journal: server-side grants carry the session id,
-	// fencing token, and the client's trace id, so journals written by
-	// the server and its clients merge into one verifiable history.
-	// Each served mutex additionally gets a native-level sink (under
-	// "native/<name>") capturing watchdog and owner-death events.
+	// the binary event journal, one record per transition: waits, grants
+	// and releases carry the session, fencing token and the client's
+	// trace id, so journals written by the server and its clients merge
+	// into one verifiable history. Lease-expiry force-releases are
+	// journaled as owner-dead records naming the expired session.
 	Journal *journal.Journal
 	// WrapConn, when non-nil, wraps every accepted connection — the
 	// fault-injection hook (see internal/fault.WrapConn).
@@ -192,6 +192,10 @@ type servedLock struct {
 	entry *telemetry.NativeEntry
 	jlock uint32 // interned journal id for name (0 = journaling off)
 
+	// recMu serializes the lock's transitions (see Server.record), so
+	// every view sees them in one order.
+	recMu sync.Mutex
+
 	mu            sync.Mutex
 	fence         uint64 // last granted fencing token
 	holderSession uint64 // 0 = free
@@ -201,11 +205,21 @@ type servedLock struct {
 
 	// Causal bookkeeping for the running tenure (guarded by mu): the
 	// trace the hold span joins, the queue-wait span it parents on, and
-	// the holder's graph-node name.
+	// when the tenure began.
 	holdTrace  causal.TraceID
 	holdParent causal.SpanID
 	holdStart  time.Time
-	holderName string
+}
+
+// endTenure clears the holder and returns the transition ending the
+// running tenure on behalf of sess (mu held).
+func (lk *servedLock) endTenure(kind journal.Kind, sess *session, cause string) transition {
+	t := transition{
+		kind: kind, lk: lk, sess: sess, token: lk.holderToken, trace: lk.holdTrace,
+		start: lk.holdStart, span: causal.NewSpanID(), parent: lk.holdParent, cause: cause,
+	}
+	lk.holderSession, lk.holderToken = 0, 0
+	return t
 }
 
 // session is one client session. Lock order: session.mu may be taken
@@ -213,12 +227,25 @@ type servedLock struct {
 type session struct {
 	id     uint64
 	client string
-	lease  time.Duration
+	// actor is the session's node name in the wait-for graph, flight
+	// recorder and journal: the client-reported name, or a session-id
+	// fallback.
+	actor string
+	lease time.Duration
 
 	mu       sync.Mutex
 	deadline time.Time
 	expired  bool
 	held     map[string]uint64 // lock name -> fencing token
+}
+
+// newSession returns a live session whose lease runs until deadline.
+func newSession(id uint64, client string, lease time.Duration, deadline time.Time) *session {
+	actor := client
+	if actor == "" {
+		actor = fmt.Sprintf("session-%d", id)
+	}
+	return &session{id: id, client: client, actor: actor, lease: lease, deadline: deadline, held: make(map[string]uint64)}
 }
 
 // renew extends the lease; it reports false if the session already
@@ -317,7 +344,6 @@ func (s *Server) Close() error {
 		lk.mu.Lock()
 		if lk.holderSession != 0 {
 			lk.holderSession, lk.holderToken = 0, 0
-			lk.holderName = ""
 			lk.m.Unlock()
 		}
 		lk.mu.Unlock()
@@ -392,38 +418,115 @@ func (s *Server) lock(name string) (*servedLock, error) {
 	}
 	if s.cfg.Journal != nil {
 		lk.jlock = s.cfg.Journal.InternLock(name)
-		m.SetEventSink(s.cfg.Journal.Sink("native/" + name))
 	}
 	s.locks[name] = lk
 	return lk, nil
 }
 
-// journalRec appends one server-side record for a served lock. No-op
-// without a journal. sess may be nil (server-initiated events).
-func (s *Server) journalRec(kind journal.Kind, lk *servedLock, sess *session, tok uint64, tr causal.TraceID, dur time.Duration) {
-	j := s.cfg.Journal
-	if j == nil {
-		return
+// transition is one lifecycle transition of a served lock: a queued
+// acquisition's start or exit, the end of a tenure, or a
+// reconfiguration.
+type transition struct {
+	kind  journal.Kind
+	lk    *servedLock
+	sess  *session // the acting session (for a tenure's end, the holder's)
+	token uint64
+	trace causal.TraceID
+	// start is when the phase this transition closes began — the queued
+	// acquisition for a wait's exit, the tenure for its end — and span
+	// and parent identify that phase's span. A zero start closes no
+	// phase: a wait's start, a shed, a reconfiguration.
+	start        time.Time
+	span, parent causal.SpanID
+	// cause says why the phase ended: the queue-wait span's outcome or
+	// the hold span's cause.
+	cause string
+}
+
+// abortDetail is the flight recorder's text for each way a queued
+// acquisition ends without a grant, keyed by transition cause.
+var abortDetail = map[string]string{
+	"shed":         "wait queue full",
+	"aborted":      "connection or server closing",
+	"unreplicated": "replication quorum unavailable",
+	"expired":      "lease expired while waiting",
+}
+
+// record applies one transition to every server-side view of the lock:
+// the wait-for graph, the span recorder, the flight ring and the
+// journal. It is the only writer of those views for a served lock, so
+// they cannot disagree about what happened; the flight ring names each
+// event with the journal kind's name. A transition that hands the lock
+// on is recorded before the native mutex moves, so the next grant lands
+// after it in every view.
+func (s *Server) record(t transition) {
+	lk, actor := t.lk, t.sess.actor
+	lk.recMu.Lock()
+	defer lk.recMu.Unlock()
+	now := time.Now()
+	var detail string
+	switch t.kind {
+	case journal.KindWait:
+		s.cfg.Graph.AddWait(actor, lk.name)
+		detail = "trace=" + t.trace.String()
+	case journal.KindAcquire:
+		// Wait edge off before the hold edge lands, so the graph never
+		// shows a transient self-cycle.
+		s.cfg.Graph.RemoveWait(actor, lk.name)
+		s.cfg.Graph.SetHolder(lk.name, actor)
+		detail = fmt.Sprintf("token=%d trace=%s", t.token, t.trace)
+	case journal.KindTimeout, journal.KindAbort:
+		if !t.start.IsZero() {
+			s.cfg.Graph.RemoveWait(actor, lk.name)
+		}
+		detail = abortDetail[t.cause]
+	case journal.KindRelease, journal.KindOwnerDead:
+		s.cfg.Graph.SetHolder(lk.name, "")
+		detail = fmt.Sprintf("token=%d", t.token)
 	}
-	// Both instants come from the server's clock — the one that merged
-	// the requesting client's HLC — not the journal's, so a server
-	// running on an injected (skewed) clock journals what that clock
-	// actually read.
-	rec := journal.Record{
-		Kind:   kind,
-		Origin: journal.OriginLockd,
-		AtNs:   s.cfg.Clock.PhysNow(),
-		HLC:    s.cfg.Clock.Now(),
-		DurNs:  int64(dur),
-		Token:  tok,
-		Trace:  uint64(tr),
-		Lock:   lk.jlock,
+	var dur time.Duration
+	if !t.start.IsZero() {
+		dur = now.Sub(t.start)
+		s.cfg.Recorder.Record(t.phaseSpan(actor, now))
 	}
-	if sess != nil {
-		rec.Tag = sess.id
-		rec.Agent = j.InternAgent(actorName(sess))
+	s.cfg.Flight.Record(lk.name, t.kind.String(), actor, detail)
+	if j := s.cfg.Journal; j != nil {
+		// Both instants come from the server's clock — the one that
+		// merged the requesting client's HLC — not the journal's, so a
+		// server running on an injected (skewed) clock journals what
+		// that clock actually read.
+		j.Append(journal.Record{
+			Kind:   t.kind,
+			Origin: journal.OriginLockd,
+			AtNs:   s.cfg.Clock.PhysNow(),
+			HLC:    s.cfg.Clock.Now(),
+			DurNs:  int64(dur),
+			Token:  t.token,
+			Trace:  uint64(t.trace),
+			Lock:   lk.jlock,
+			Tag:    t.sess.id,
+			Agent:  j.InternAgent(actor),
+		})
 	}
-	j.Append(rec)
+}
+
+// phaseSpan is the span of the phase t closes: the tenure's hold span
+// when t ends one, otherwise the acquisition's queue-wait span.
+func (t transition) phaseSpan(actor string, end time.Time) causal.Span {
+	name, key := "queue-wait", "outcome"
+	if t.kind == journal.KindRelease || t.kind == journal.KindOwnerDead {
+		name, key = "hold", "cause"
+	}
+	attrs := map[string]string{key: t.cause}
+	if t.token != 0 {
+		attrs["token"] = strconv.FormatUint(t.token, 10)
+	}
+	return causal.Span{
+		Trace: t.trace, ID: t.span, Parent: t.parent,
+		Name: name, Actor: actor, Object: t.lk.name,
+		Start: t.start.UnixNano(), End: end.UnixNano(),
+		Attrs: attrs,
+	}
 }
 
 // acceptLoop accepts connections until the listener closes.
@@ -646,13 +749,7 @@ func (s *Server) handleHello(req Request) Response {
 		return Response{ID: req.ID, Code: CodeShutdown, Err: "server shutting down"}
 	}
 	s.lastSession++
-	sess := &session{
-		id:       s.lastSession,
-		client:   req.Client,
-		lease:    lease,
-		deadline: time.Now().Add(lease),
-		held:     make(map[string]uint64),
-	}
+	sess := newSession(s.lastSession, req.Client, lease, time.Now().Add(lease))
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()
 	// Replicated mode: the session must exist on a quorum before the
@@ -678,6 +775,11 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 	if req.Lock == "" {
 		return Response{ID: req.ID, Code: CodeBadRequest, Err: "acquire without a lock name"}
 	}
+	switch req.WaitHint {
+	case "", "block", "spin", "try":
+	default:
+		return Response{ID: req.ID, Code: CodeBadRequest, Err: fmt.Sprintf("unknown wait hint %q", req.WaitHint)}
+	}
 	if req.Attempt > 1 {
 		s.ctr.retries.Add(1)
 	}
@@ -699,7 +801,7 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 		waiting := lk.waiting
 		lk.mu.Unlock()
 		s.ctr.sheds.Add(1)
-		s.journalRec(journal.KindAbort, lk, sess, 0, causal.ParseTraceID(req.TraceID), 0)
+		s.record(transition{kind: journal.KindAbort, lk: lk, sess: sess, trace: causal.ParseTraceID(req.TraceID), cause: "shed"})
 		// Retry-After scales with the queue: a deeper backlog pushes
 		// retries further out.
 		hint := time.Duration(waiting) * 10 * time.Millisecond
@@ -722,25 +824,20 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 
 	// Causal: continue the client's trace when the request carries one
 	// (so client backoff + queue wait + hold share a trace), otherwise
-	// start a server-local trace; register the wait edge for deadlock
-	// detection.
-	actor := actorName(sess)
+	// start a server-local trace. Every exit of the queued acquisition
+	// closes its queue-wait span.
 	tr := causal.ParseTraceID(req.TraceID)
 	if tr == 0 {
 		tr = causal.NewTraceID()
 	}
 	qspan := causal.NewSpanID()
 	qstart := time.Now()
-	s.cfg.Graph.AddWait(actor, req.Lock)
-	s.cfg.Flight.Record(req.Lock, "wait", actor, "trace="+tr.String())
-	s.journalRec(journal.KindWait, lk, sess, 0, tr, 0)
-	queueSpan := func(outcome string) causal.Span {
-		return causal.Span{
-			Trace: tr, ID: qspan, Parent: causal.ParseSpanID(req.ParentSpan),
-			Name: "queue-wait", Actor: actor, Object: req.Lock,
-			Start: qstart.UnixNano(), End: time.Now().UnixNano(),
-			Attrs: map[string]string{"outcome": outcome},
-		}
+	s.record(transition{kind: journal.KindWait, lk: lk, sess: sess, trace: tr})
+	exit := func(kind journal.Kind, tok uint64, cause string) {
+		s.record(transition{
+			kind: kind, lk: lk, sess: sess, token: tok, trace: tr,
+			start: qstart, span: qspan, parent: causal.ParseSpanID(req.ParentSpan), cause: cause,
+		})
 	}
 
 	wait := s.cfg.DefaultWait
@@ -751,14 +848,11 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 	defer cancel()
 
 	recovered := false
-	switch req.WaitHint {
-	case "", "block":
-		err = lk.m.AcquireCtxAs(actx, 0, req.Prio)
-	case "spin", "try":
+	if req.WaitHint == "spin" || req.WaitHint == "try" {
 		// The per-RPC impatient path (hint "try" polls exactly once).
 		err = s.spinAcquire(actx, lk, req.WaitHint == "try")
-	default:
-		return Response{ID: req.ID, Code: CodeBadRequest, Err: fmt.Sprintf("unknown wait hint %q", req.WaitHint)}
+	} else {
+		err = lk.m.AcquireCtxAs(actx, 0, req.Prio)
 	}
 	if errors.Is(err, native.ErrOwnerDied) {
 		// Robust-mutex semantics: the caller owns the lock, inherited
@@ -768,17 +862,12 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 		s.ctr.recoveredGrants.Add(1)
 	}
 	if err != nil {
-		s.cfg.Graph.RemoveWait(actor, req.Lock)
 		if ctx.Err() != nil {
-			s.cfg.Flight.Record(req.Lock, "abort", actor, "connection or server closing")
-			s.cfg.Recorder.Record(queueSpan("aborted"))
-			s.journalRec(journal.KindAbort, lk, sess, 0, tr, time.Since(qstart))
+			exit(journal.KindAbort, 0, "aborted")
 			return Response{ID: req.ID, Code: CodeShutdown, Err: "connection or server closing"}
 		}
 		s.ctr.acquireTimeouts.Add(1)
-		s.cfg.Flight.Record(req.Lock, "timeout", actor, "")
-		s.cfg.Recorder.Record(queueSpan("timeout"))
-		s.journalRec(journal.KindTimeout, lk, sess, 0, tr, time.Since(qstart))
+		exit(journal.KindTimeout, 0, "timeout")
 		return Response{ID: req.ID, Code: CodeTimeout, Err: fmt.Sprintf("lock %q not acquired within %v", req.Lock, wait)}
 	}
 
@@ -793,23 +882,14 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 		tok = lk.fence + 1
 		lk.mu.Unlock()
 		if err := s.propose(Mutation{
-			Kind: journal.KindAcquire, Lock: req.Lock, Agent: actor,
+			Kind: journal.KindAcquire, Lock: req.Lock, Agent: sess.actor,
 			Session: sess.id, Token: tok, Trace: uint64(tr), DurNs: int64(time.Since(qstart)),
 		}); err != nil {
 			// No quorum. The entry stays in the local log (it may already
 			// sit on some learners), so burn the token and append a
 			// compensating release — then give the grant back.
-			lk.mu.Lock()
-			if lk.fence < tok {
-				lk.fence = tok
-			}
-			lk.mu.Unlock()
-			s.propose(Mutation{Kind: journal.KindRelease, Lock: req.Lock, Agent: actor, Session: sess.id, Token: tok}) //nolint:errcheck // best-effort compensation
-			lk.m.Unlock()
-			s.cfg.Graph.RemoveWait(actor, req.Lock)
-			s.cfg.Flight.Record(req.Lock, "abort", actor, "replication quorum unavailable")
-			s.cfg.Recorder.Record(queueSpan("unreplicated"))
-			s.journalRec(journal.KindAbort, lk, sess, 0, tr, time.Since(qstart))
+			exit(journal.KindAbort, 0, "unreplicated")
+			s.burnGrant(lk, sess, tok)
 			return Response{ID: req.ID, Code: CodeUnavailable, Err: "replication quorum unavailable: " + err.Error()}
 		}
 	}
@@ -820,20 +900,10 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 	sess.mu.Lock()
 	if sess.expired {
 		sess.mu.Unlock()
-		if tok != 0 {
-			// The replicated grant must not dangle: burn the token and
-			// log the give-back.
-			lk.mu.Lock()
-			if lk.fence < tok {
-				lk.fence = tok
-			}
-			lk.mu.Unlock()
-			s.propose(Mutation{Kind: journal.KindRelease, Lock: req.Lock, Agent: actor, Session: sess.id, Token: tok}) //nolint:errcheck // best-effort compensation
-		}
-		lk.m.Unlock() // lease lapsed while we waited: give the grant back
-		s.cfg.Graph.RemoveWait(actor, req.Lock)
-		s.cfg.Flight.Record(req.Lock, "abort", actor, "lease expired while waiting")
-		s.cfg.Recorder.Record(queueSpan("expired"))
+		// The lease lapsed while we waited: give the grant back (a
+		// replicated grant must not dangle either).
+		exit(journal.KindAbort, 0, "expired")
+		s.burnGrant(lk, sess, tok)
 		return Response{ID: req.ID, Code: CodeExpired, Err: "session lease expired while waiting"}
 	}
 	lk.mu.Lock()
@@ -844,25 +914,16 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 		tok = lk.fence
 	}
 	lk.holderSession, lk.holderToken = sess.id, tok
-	lk.holdTrace, lk.holdParent = tr, qspan
-	lk.holdStart, lk.holderName = time.Now(), actor
+	lk.holdTrace, lk.holdParent, lk.holdStart = tr, qspan, time.Now()
 	lk.mu.Unlock()
 	sess.held[req.Lock] = tok
 	sess.mu.Unlock()
 	s.ctr.acquires.Add(1)
-	// Wait edge off before the hold edge lands, so the graph never shows
-	// a transient self-cycle.
-	s.cfg.Graph.RemoveWait(actor, req.Lock)
-	s.cfg.Graph.SetHolder(req.Lock, actor)
 	outcome := "acquired"
 	if recovered {
 		outcome = "recovered"
 	}
-	qs := queueSpan(outcome)
-	qs.Attrs["token"] = strconv.FormatUint(tok, 10)
-	s.cfg.Recorder.Record(qs)
-	s.cfg.Flight.Record(req.Lock, "acquire", actor, fmt.Sprintf("token=%d trace=%s", tok, tr))
-	s.journalRec(journal.KindAcquire, lk, sess, tok, tr, time.Since(qstart))
+	exit(journal.KindAcquire, tok, outcome)
 	resp = Response{ID: req.ID, OK: true, Token: tok, Recovered: recovered}
 	if req.TraceID != "" {
 		resp.ServerSpan = qspan.String()
@@ -870,25 +931,20 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 	return resp
 }
 
-// actorName is a session's node name in the wait-for graph and flight
-// recorder: the client-reported name, or a session-id fallback.
-func actorName(sess *session) string {
-	if sess.client != "" {
-		return sess.client
+// burnGrant gives back a native grant the server will not hand to the
+// client. A token already proposed to the replicas (tok != 0) is burnt
+// and a compensating release is logged, so the replicated history never
+// carries a dangling grant.
+func (s *Server) burnGrant(lk *servedLock, sess *session, tok uint64) {
+	if tok != 0 {
+		lk.mu.Lock()
+		if lk.fence < tok {
+			lk.fence = tok
+		}
+		lk.mu.Unlock()
+		s.propose(Mutation{Kind: journal.KindRelease, Lock: lk.name, Agent: sess.actor, Session: sess.id, Token: tok}) //nolint:errcheck // best-effort compensation
 	}
-	return fmt.Sprintf("session-%d", sess.id)
-}
-
-// holdSpan builds the ending tenure's hold span from the lock's causal
-// bookkeeping. Called with lk.mu held, before holderName is cleared;
-// cause labels why the tenure ended (released, bye, lease-expired).
-func (s *Server) holdSpan(lk *servedLock, cause string, tok uint64) causal.Span {
-	return causal.Span{
-		Trace: lk.holdTrace, ID: causal.NewSpanID(), Parent: lk.holdParent,
-		Name: "hold", Actor: lk.holderName, Object: lk.name,
-		Start: lk.holdStart.UnixNano(), End: time.Now().UnixNano(),
-		Attrs: map[string]string{"cause": cause, "token": strconv.FormatUint(tok, 10)},
-	}
+	lk.m.Unlock()
 }
 
 // spinAcquire polls the lock until success or deadline — the wire-level
@@ -935,7 +991,7 @@ func (s *Server) handleRelease(req Request) Response {
 		lk.mu.Unlock()
 		if live {
 			if err := s.propose(Mutation{
-				Kind: journal.KindRelease, Lock: req.Lock, Agent: actorName(sess),
+				Kind: journal.KindRelease, Lock: req.Lock, Agent: sess.actor,
 				Session: sess.id, Token: req.Token,
 			}); err != nil {
 				return Response{ID: req.ID, Code: CodeUnavailable, Err: "replication quorum unavailable: " + err.Error()}
@@ -949,18 +1005,11 @@ func (s *Server) handleRelease(req Request) Response {
 	sess.mu.Unlock()
 	lk.mu.Lock()
 	if lk.holderSession == sess.id && lk.holderToken == req.Token {
-		lk.holderSession, lk.holderToken = 0, 0
-		holder := lk.holderName
-		span := s.holdSpan(lk, "released", req.Token)
-		holdTrace, holdDur := lk.holdTrace, time.Since(lk.holdStart)
-		lk.holderName = ""
+		end := lk.endTenure(journal.KindRelease, sess, "released")
 		lk.mu.Unlock()
+		s.record(end)
 		lk.m.Unlock()
 		s.ctr.releases.Add(1)
-		s.cfg.Graph.SetHolder(req.Lock, "")
-		s.cfg.Recorder.Record(span)
-		s.cfg.Flight.Record(req.Lock, "release", holder, fmt.Sprintf("token=%d", req.Token))
-		s.journalRec(journal.KindRelease, lk, sess, req.Token, holdTrace, holdDur)
 		return Response{ID: req.ID, OK: true, Token: req.Token}
 	}
 	lk.mu.Unlock()
@@ -995,7 +1044,7 @@ func (s *Server) handleReconfigure(req Request) Response {
 		}
 	}
 	if err := s.propose(Mutation{
-		Kind: journal.KindReconfig, Lock: req.Lock, Agent: actorName(sess),
+		Kind: journal.KindReconfig, Lock: req.Lock, Agent: sess.actor,
 		Session: sess.id, Policy: req.Policy, Sched: req.Sched,
 	}); err != nil {
 		return Response{ID: req.ID, Code: CodeUnavailable, Err: "replication quorum unavailable: " + err.Error()}
@@ -1013,7 +1062,7 @@ func (s *Server) handleReconfigure(req Request) Response {
 		_, pending = lk.m.PendingScheduler()
 	}
 	s.ctr.reconfigurations.Add(1)
-	s.journalRec(journal.KindReconfig, lk, sess, 0, 0, 0)
+	s.record(transition{kind: journal.KindReconfig, lk: lk, sess: sess})
 	return Response{ID: req.ID, OK: true, Pending: pending}
 }
 
@@ -1074,6 +1123,13 @@ func (s *Server) endSession(sess *session, forced bool) {
 	delete(s.sessions, sess.id)
 	s.mu.Unlock()
 
+	// A clean goodbye releases; an expiry force-releases through the
+	// robust-mutex path, so the next acquirer inherits the lock with
+	// the owner-died notification set.
+	kind, cause := journal.KindRelease, "bye"
+	if forced {
+		kind, cause = journal.KindOwnerDead, "lease-expired"
+	}
 	for name, tok := range held {
 		s.mu.Lock()
 		lk := s.locks[name]
@@ -1084,47 +1140,23 @@ func (s *Server) endSession(sess *session, forced bool) {
 		// Replicated mode: ship the tenure's end, best-effort — a leader
 		// that lost quorum must still recover locally (its lease will
 		// fence it shortly), and a demoted replica must not propose.
-		mkind := journal.KindRelease
-		if forced {
-			mkind = journal.KindOwnerDead
-		}
-		s.proposeIfLeader(Mutation{Kind: mkind, Lock: name, Agent: actorName(sess), Session: sess.id, Token: tok})
+		s.proposeIfLeader(Mutation{Kind: kind, Lock: name, Agent: sess.actor, Session: sess.id, Token: tok})
 		lk.mu.Lock()
 		if lk.holderSession != sess.id || lk.holderToken != tok {
 			lk.mu.Unlock()
 			continue
 		}
-		lk.holderSession, lk.holderToken = 0, 0
-		holder := lk.holderName
-		holdTrace, holdDur := lk.holdTrace, time.Since(lk.holdStart)
-		var span causal.Span
-		if forced {
-			// The owner is gone without unlocking: force-release through
-			// the robust-mutex path so the next acquirer inherits the
-			// lock with the owner-died notification set.
-			span = s.holdSpan(lk, "lease-expired", tok)
-			if err := lk.m.DeclareOwnerDead(); err != nil {
-				s.logf("lockd: recover %q from session %d: %v", name, sess.id, err)
-			} else {
-				s.ctr.forcedReleases.Add(1)
-			}
-		} else {
-			span = s.holdSpan(lk, "bye", tok)
+		end := lk.endTenure(kind, sess, cause)
+		lk.mu.Unlock()
+		s.record(end)
+		if !forced {
 			lk.m.Unlock()
 			s.ctr.releases.Add(1)
+		} else if err := lk.m.DeclareOwnerDead(); err != nil {
+			s.logf("lockd: recover %q from session %d: %v", name, sess.id, err)
+		} else {
+			s.ctr.forcedReleases.Add(1)
 		}
-		lk.holderName = ""
-		lk.mu.Unlock()
-		s.cfg.Graph.SetHolder(name, "")
-		s.cfg.Recorder.Record(span)
-		kind := "release"
-		jkind := journal.KindRelease
-		if forced {
-			kind = "expired"
-			jkind = journal.KindOwnerDead
-		}
-		s.cfg.Flight.Record(name, kind, holder, fmt.Sprintf("token=%d", tok))
-		s.journalRec(jkind, lk, sess, tok, holdTrace, holdDur)
 	}
 	s.proposeIfLeader(Mutation{Kind: journal.KindSessionEnd, Session: sess.id, Agent: sess.client})
 	s.journalSession(journal.KindSessionEnd, sess.id, sess.client, 0)

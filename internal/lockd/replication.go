@@ -159,13 +159,7 @@ func (s *Server) InstallReplicaState(st ReplState) {
 		if lease <= 0 {
 			lease = s.cfg.DefaultLease
 		}
-		sess := &session{
-			id:       rs.ID,
-			client:   rs.Client,
-			lease:    lease,
-			deadline: time.Now().Add(lease + grace),
-			held:     make(map[string]uint64, len(rs.Held)),
-		}
+		sess := newSession(rs.ID, rs.Client, lease, time.Now().Add(lease+grace))
 		for n, t := range rs.Held {
 			sess.held[n] = t
 		}
@@ -216,8 +210,7 @@ func (s *Server) InstallReplicaState(st ReplState) {
 		}
 		lk.mu.Lock()
 		lk.holderSession, lk.holderToken = rl.HolderSession, rl.HolderToken
-		lk.holdTrace, lk.holdParent = 0, 0
-		lk.holdStart, lk.holderName = time.Now(), rl.Holder
+		lk.holdTrace, lk.holdParent, lk.holdStart = 0, 0, time.Now()
 		lk.mu.Unlock()
 		s.cfg.Graph.SetHolder(rl.Name, rl.Holder)
 	}

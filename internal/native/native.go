@@ -169,14 +169,12 @@ type Mutex struct {
 	stallGen    atomic.Uint64
 	inj         atomic.Value // injBox
 
-	// Telemetry hooks (see observe.go).
-	observer atomic.Value // obsBox
-	csampler atomic.Value // samplerBox
-	esink    atomic.Value // sinkBox
+	// Lifecycle event sink (see observe.go).
+	esink atomic.Value // sinkBox
 
 	// ownerTag is the handoff tag the current owner acquired under
 	// (guard-protected); the release path reports it to the event sink so
-	// causal trackers can attribute the ending tenure.
+	// consumers can attribute the ending tenure.
 	ownerTag uint64
 
 	// monitor counters (atomics: read without the guard)
@@ -475,9 +473,6 @@ func (m *Mutex) unlock(hint uint64) {
 	m.guard.unlock()
 	if w != nil {
 		w.ch <- struct{}{}
-	}
-	if o := m.latencyObserver(); o != nil {
-		o.ObserveHold(held)
 	}
 	m.emitEvent(EventRelease, ownerTag, 0, start.Add(held), 0, held)
 }

@@ -2,60 +2,12 @@ package native
 
 import "time"
 
-// This file is the mutex's telemetry surface: optional hooks the
-// observability layer (internal/telemetry) installs to see individual
-// latencies and contended-acquisition call sites, beyond the cumulative
-// Stats counters. Both hooks are invoked outside the guard, on the
-// acquiring/releasing goroutine itself, and must not call back into the
-// mutex.
-
-// LatencyObserver receives individual wait and hold durations from the
-// mutex's hot paths, so an observability layer can maintain
-// distributions (histograms, percentiles) rather than the monitor's
-// lifetime totals. ObserveWait fires once per completed contended
-// acquisition; ObserveHold once per release. Implementations must be
-// safe for concurrent use.
-type LatencyObserver interface {
-	ObserveWait(d time.Duration)
-	ObserveHold(d time.Duration)
-}
-
-// obsBox wraps the observer so atomic.Value can hold (and clear) it.
-type obsBox struct{ o LatencyObserver }
-
-// SetLatencyObserver attaches a latency observer. Pass nil to detach.
-func (m *Mutex) SetLatencyObserver(o LatencyObserver) { m.observer.Store(obsBox{o}) }
-
-func (m *Mutex) latencyObserver() LatencyObserver {
-	v := m.observer.Load()
-	if v == nil {
-		return nil
-	}
-	return v.(obsBox).o
-}
-
-// ContentionSampler is called once per completed contended acquisition,
-// on the acquiring goroutine itself — before the caller's critical
-// section runs — so implementations can capture the caller's stack (the
-// acquisition site). waited is the registration-to-grant delay.
-// Implementations must be safe for concurrent use.
-type ContentionSampler interface {
-	ContendedAcquire(waited time.Duration)
-}
-
-// samplerBox wraps the sampler so atomic.Value can hold (and clear) it.
-type samplerBox struct{ s ContentionSampler }
-
-// SetContentionSampler attaches a contention sampler. Pass nil to detach.
-func (m *Mutex) SetContentionSampler(s ContentionSampler) { m.csampler.Store(samplerBox{s}) }
-
-func (m *Mutex) contentionSampler() ContentionSampler {
-	v := m.csampler.Load()
-	if v == nil {
-		return nil
-	}
-	return v.(samplerBox).s
-}
+// This file is the mutex's observation surface: one lifecycle event
+// stream. Every observer — the event journal, telemetry's latency
+// histograms and contention call-site profiler — is an EventSink; when
+// several watch one mutex they are teed into the single slot with
+// TeeSink. Sinks run outside the guard, on the acquiring or releasing
+// goroutine itself, and must not call back into the mutex.
 
 // EventKind classifies a LockEvent.
 type EventKind uint8
@@ -68,7 +20,10 @@ const (
 	// the waiting policy.
 	EventWait EventKind = iota
 	// EventAcquire fires on every successful acquisition (contended or
-	// not); Waited is the registration-to-grant delay (0 uncontended).
+	// not); Waited is the registration-to-grant delay: 0 exactly when
+	// the acquisition was uncontended. A contended acquisition's event
+	// is delivered on the acquiring goroutine before the caller's
+	// critical section runs, so a sink can capture the acquisition site.
 	EventAcquire
 	// EventRelease fires on every voluntary release; Held is the tenure
 	// length.
@@ -124,8 +79,8 @@ type LockEvent struct {
 }
 
 // EventSink receives lifecycle events from the mutex's hot paths —
-// the causal layer's hook for span recording and wait-for-graph
-// maintenance, and the journal's producer interface. Calls are made
+// the journal's producer interface and the source of telemetry's
+// histograms and contention profiles. Calls are made
 // outside the guard on the acquiring/releasing goroutine (the timer
 // goroutine for EventWatchdog); every EventWait is eventually paired
 // with exactly one of EventAcquire, EventTimeout, or EventAbort.
@@ -146,13 +101,19 @@ type nopSink struct{}
 func (nopSink) LockEvent(LockEvent) {}
 
 // TeeSink fans one event stream out to several sinks, skipping nils,
-// so a causal tracker and a journal can both observe one mutex. With
-// zero or one effective sink it returns NopSink or the sink itself —
-// no tee overhead unless genuinely fanning out.
+// so a journal and telemetry's consumers can all observe one mutex.
+// Tees passed in are flattened, so attaching one sink at a time
+// (SetEventSink(TeeSink(m.EventSink(), s))) never nests. With zero or
+// one effective sink it returns NopSink or the sink itself — no tee
+// overhead unless genuinely fanning out.
 func TeeSink(sinks ...EventSink) EventSink {
 	var eff []EventSink
 	for _, s := range sinks {
-		if s != nil && s != NopSink {
+		switch s := s.(type) {
+		case nil, nopSink:
+		case teeSink:
+			eff = append(eff, s...)
+		default:
 			eff = append(eff, s)
 		}
 	}
@@ -176,8 +137,10 @@ func (t teeSink) LockEvent(e LockEvent) {
 // sinkBox wraps the sink so atomic.Value can hold (and clear) it.
 type sinkBox struct{ s EventSink }
 
-// SetEventSink attaches a lifecycle event sink. Pass nil to detach
-// (the no-op sink takes its place).
+// SetEventSink installs the mutex's lifecycle event sink, replacing
+// whatever was attached; add a consumer with
+// SetEventSink(TeeSink(m.EventSink(), s)). Pass nil to detach (the
+// no-op sink takes its place).
 func (m *Mutex) SetEventSink(s EventSink) {
 	if s == nil {
 		s = NopSink
@@ -185,10 +148,10 @@ func (m *Mutex) SetEventSink(s EventSink) {
 	m.esink.Store(sinkBox{s})
 }
 
-// eventSink returns the boxed sink; never nil. The Load-nil branch
-// exists only for a Mutex that skipped New (zero value misuse) — New
-// boxes NopSink up front.
-func (m *Mutex) eventSink() EventSink {
+// EventSink returns the attached sink (NopSink when none); never nil.
+// The Load-nil branch exists only for a Mutex that skipped New (zero
+// value misuse) — New boxes NopSink up front.
+func (m *Mutex) EventSink() EventSink {
 	v := m.esink.Load()
 	if v == nil {
 		return NopSink
@@ -201,20 +164,15 @@ func (m *Mutex) eventSink() EventSink {
 // already computed (holdStart, waitStart) so the journaling-off fast
 // path adds no clock reads.
 func (m *Mutex) emitEvent(kind EventKind, tag uint64, prio int64, when time.Time, waited, held time.Duration) {
-	m.eventSink().LockEvent(LockEvent{Kind: kind, Tag: tag, Prio: prio, When: when, Waited: waited, Held: held})
+	m.EventSink().LockEvent(LockEvent{Kind: kind, Tag: tag, Prio: prio, When: when, Waited: waited, Held: held})
 }
 
-// finishWait charges a completed contended acquisition: the wait-time
-// counter, the latency observer, the contention sampler, and the event
-// sink. Must be called without the guard.
+// finishWait charges a completed contended acquisition to the
+// wait-time counter and reports it to the event sink. Must be called
+// without the guard. The reported wait is at least 1ns, so a sink can
+// tell a contended acquisition from an uncontended one by Waited alone.
 func (m *Mutex) finishWait(waitStart time.Time, tag uint64, prio int64) {
-	d := time.Since(waitStart)
+	d := max(time.Since(waitStart), 1)
 	m.waitNanos.Add(int64(d))
-	if o := m.latencyObserver(); o != nil {
-		o.ObserveWait(d)
-	}
-	if s := m.contentionSampler(); s != nil {
-		s.ContendedAcquire(d)
-	}
 	m.emitEvent(EventAcquire, tag, prio, waitStart.Add(d), d, 0)
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/native"
 )
 
 // maxFrames bounds the stack depth captured and keyed per sample.
@@ -21,8 +23,8 @@ const maxFrames = 24
 // table (Top) and as folded-stack flamegraph text (Folded, the
 // `a;b;c 42` format flamegraph.pl and speedscope consume).
 //
-// It implements native.ContentionSampler; attach with
-// NativeEntry.Profile or native.Mutex.SetContentionSampler directly.
+// It is a native.EventSink: attach with NativeEntry.Profile, or tee it
+// onto a mutex's sink directly (native.TeeSink).
 type SiteProfiler struct {
 	rate int64
 	tick atomic.Int64
@@ -50,9 +52,13 @@ func NewSiteProfiler(rate int) *SiteProfiler {
 	}
 }
 
-// ContendedAcquire implements native.ContentionSampler: sample the
-// caller's stack and charge the site.
-func (p *SiteProfiler) ContendedAcquire(waited time.Duration) {
+// LockEvent implements native.EventSink: a contended acquisition (an
+// EventAcquire that waited) is delivered on the acquiring goroutine, so
+// a sampled one charges the caller's stack to its site.
+func (p *SiteProfiler) LockEvent(e native.LockEvent) {
+	if e.Kind != native.EventAcquire || e.Waited == 0 {
+		return
+	}
 	if p.rate > 1 && p.tick.Add(1)%p.rate != 0 {
 		return
 	}
@@ -97,7 +103,7 @@ func (p *SiteProfiler) ContendedAcquire(waited time.Duration) {
 		p.sites[key] = agg
 	}
 	agg.count++
-	agg.wait += waited
+	agg.wait += e.Waited
 	p.mu.Unlock()
 }
 

@@ -60,7 +60,7 @@ var foldedRe = regexp.MustCompile(`^[^ ]+(;[^ ]+)* [0-9]+$`)
 func TestProfilerTwoSites(t *testing.T) {
 	m := native.MustNew(native.CombinedPolicy, native.FIFO)
 	p := NewSiteProfiler(1)
-	m.SetContentionSampler(p)
+	m.SetEventSink(p)
 	twoSiteWorkload(t, m)
 
 	top := p.Top(0)
@@ -107,7 +107,7 @@ func TestProfilerTwoSites(t *testing.T) {
 func TestProfilerFoldedFormat(t *testing.T) {
 	m := native.MustNew(native.CombinedPolicy, native.FIFO)
 	p := NewSiteProfiler(1)
-	m.SetContentionSampler(p)
+	m.SetEventSink(p)
 	twoSiteWorkload(t, m)
 
 	folded := p.Folded()
@@ -142,7 +142,7 @@ func TestProfilerFoldedFormat(t *testing.T) {
 func TestProfilerSamplingRate(t *testing.T) {
 	m := native.MustNew(native.CombinedPolicy, native.FIFO)
 	p := NewSiteProfiler(4)
-	m.SetContentionSampler(p)
+	m.SetEventSink(p)
 	twoSiteWorkload(t, m)
 
 	// 1-in-4 sampling: far fewer samples than the ~50 contended

@@ -277,13 +277,13 @@ func RegisterNative(name string, m *native.Mutex) *NativeEntry {
 	return Default.RegisterNative(name, m)
 }
 
-// ObserveLatency attaches a concurrency-safe wait/hold histogram
-// observer to the mutex, so scrapes serve latency distributions rather
-// than just the Stats totals. Returns the entry for chaining.
+// ObserveLatency attaches a concurrency-safe wait/hold histogram sink
+// to the mutex, so scrapes serve latency distributions rather than just
+// the Stats totals. Returns the entry for chaining.
 func (ne *NativeEntry) ObserveLatency() *NativeEntry {
 	h := &lockedHists{}
 	ne.hists.Store(h)
-	ne.m.SetLatencyObserver(h)
+	ne.attach(h)
 	return ne
 }
 
@@ -293,8 +293,15 @@ func (ne *NativeEntry) ObserveLatency() *NativeEntry {
 func (ne *NativeEntry) Profile(rate int) *NativeEntry {
 	p := NewSiteProfiler(rate)
 	ne.prof.Store(p)
-	ne.m.SetContentionSampler(p)
+	ne.attach(p)
 	return ne
+}
+
+// attach tees s onto the mutex's event sink, keeping whatever is
+// already installed (a journal sink, an earlier histogram). Attach
+// before the mutex is shared: concurrent attaches may lose one another.
+func (ne *NativeEntry) attach(s native.EventSink) {
+	ne.m.SetEventSink(native.TeeSink(ne.m.EventSink(), s))
 }
 
 // Profiler returns the attached contention profiler, nil before Profile.
@@ -315,24 +322,29 @@ func (ne *NativeEntry) sample() LockSnapshot {
 }
 
 // lockedHists adapts obs.Histogram (single-writer by design, built for
-// the simulator) to the native mutex's concurrent hot paths.
+// the simulator) to the native mutex's concurrent hot paths: a sink
+// recording each contended acquisition's wait and each voluntary
+// release's hold.
 type lockedHists struct {
 	mu   sync.Mutex
 	wait obs.Histogram
 	hold obs.Histogram
 }
 
-var _ native.LatencyObserver = (*lockedHists)(nil)
-
-func (h *lockedHists) ObserveWait(d time.Duration) {
+// LockEvent implements native.EventSink.
+func (h *lockedHists) LockEvent(e native.LockEvent) {
+	var hist *obs.Histogram
+	var d time.Duration
+	switch {
+	case e.Kind == native.EventAcquire && e.Waited > 0:
+		hist, d = &h.wait, e.Waited
+	case e.Kind == native.EventRelease:
+		hist, d = &h.hold, e.Held
+	default:
+		return
+	}
 	h.mu.Lock()
-	h.wait.Record(sim.Duration(d))
-	h.mu.Unlock()
-}
-
-func (h *lockedHists) ObserveHold(d time.Duration) {
-	h.mu.Lock()
-	h.hold.Record(sim.Duration(d))
+	hist.Record(sim.Duration(d))
 	h.mu.Unlock()
 }
 
