@@ -328,14 +328,20 @@ func (j *Journal) run() {
 	}
 }
 
-// drain empties every shard into the active segment, emitting a
-// KindDrops marker wherever a ring overflowed since the last drain.
+// drain writes every shard's backlog into the active segment, emitting
+// a KindDrops marker wherever a ring overflowed since the last pass.
+//
+// Each pass charges the shard's drops first and then pops only what was
+// enqueued by that moment. A drop happens while the ring is full, so the
+// records it lost follow everything earlier passes wrote; the marker
+// therefore goes ahead of this pass's records, never after a record that
+// followed the gap, and a reader that relaxes pairing from the marker on
+// sees no false violations. Bounding the pass keeps a producer that never
+// pauses from starving the marker: drops reach the disk every pass, not
+// only once the ring happens to run empty.
 func (j *Journal) drain() {
 	var rec Record
 	for _, sh := range j.shards {
-		for sh.pop(&rec) {
-			j.writeEvent(&rec)
-		}
 		if n := sh.takeDropped(); n > 0 {
 			j.dropped.Add(n) // charge the cumulative counter off the hot path
 			j.writeEvent(&Record{
@@ -344,6 +350,9 @@ func (j *Journal) drain() {
 				HLC:   j.cfg.Clock.Now(),
 				DurNs: int64(n),
 			})
+		}
+		for end := sh.enq.Load(); sh.deq < end && sh.pop(&rec); {
+			j.writeEvent(&rec)
 		}
 	}
 	if j.cfg.Sync {

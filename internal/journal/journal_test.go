@@ -127,6 +127,76 @@ func TestRingOverflowDrops(t *testing.T) {
 	}
 }
 
+// A producer that never pauses keeps the ring full. The writer must
+// still put drop markers on disk while it runs (not only at Close), each
+// marker must precede the records that follow its gap, so the on-disk
+// history verifies clean, and once the producer stops the markers on
+// disk account for every drop exactly.
+func TestDropsReachDiskUnderNonstopProducer(t *testing.T) {
+	j := openTest(t, func(c *Config) {
+		c.ShardCap = 64
+		c.Shards = 1
+		c.FlushEvery = time.Millisecond
+		c.MaxSegments = -1
+	})
+	lock := j.InternLock("nonstop")
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	stopProducer := sync.OnceFunc(func() { close(stop); <-done })
+	t.Cleanup(stopProducer)
+	go func() {
+		defer close(done)
+		for token := uint64(1); ; token++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			at := time.Now().UnixNano()
+			j.Append(Record{Kind: KindAcquire, AtNs: at, Lock: lock, Token: token})
+			j.Append(Record{Kind: KindRelease, AtNs: at + 1, Lock: lock, Token: token, DurNs: 1})
+		}
+	}()
+	onDisk := func() (drops int64, markers, events uint64) {
+		entries, _, err := ReadDir(j.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := Verify([]ProcEntries{{Proc: "nonstop", Entries: entries}}); !rep.Ok() {
+			t.Fatalf("on-disk history does not verify: %v", rep.Violations[0])
+		}
+		for _, e := range entries {
+			if e.Kind == KindDrops {
+				drops += e.DurNs
+				markers++
+			} else {
+				events++
+			}
+		}
+		return drops, markers, events
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if d, _, _ := onDisk(); d > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no drop marker reached disk while the producer ran")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	stopProducer()
+	j.Flush()
+	st := j.Stats()
+	drops, markers, events := onDisk()
+	if st.Dropped == 0 || uint64(drops) != st.Dropped {
+		t.Fatalf("markers on disk carry %d drops, Stats().Dropped=%d", drops, st.Dropped)
+	}
+	if events != st.Appended || st.Flushed != events+markers {
+		t.Fatalf("events on disk=%d markers=%d flushed=%d, appended=%d", events, markers, st.Flushed, st.Appended)
+	}
+}
+
 func TestConcurrentProducers(t *testing.T) {
 	j := openTest(t, func(c *Config) { c.ShardCap = 1 << 14 })
 	const goroutines, per = 8, 500
